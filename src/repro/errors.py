@@ -19,6 +19,7 @@ __all__ = [
     "DeferredInitError",
     "CheckpointError",
     "CheckpointCorruptionError",
+    "RecoveryModeError",
     "StreamOrderViolation",
     "ExecOrderViolation",
 ]
@@ -269,6 +270,10 @@ class CheckpointCorruptionError(CheckpointError):
         self.expected_crc = expected_crc
         self.actual_crc = actual_crc
         super().__init__(message)
+
+
+class RecoveryModeError(ReproError, ValueError):
+    """An elastic driver was asked for a recovery mode it does not have."""
 
 
 class StreamOrderViolation(ReproError):

@@ -13,7 +13,7 @@ large models, Figure 6(a)) and FSDP in any sharding configuration.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import distributed as dist
@@ -22,15 +22,7 @@ from repro.cuda.device import Device
 from repro.ddp import DistributedDataParallel
 from repro.distributed.fault import FaultInjector, FaultSchedule
 from repro.distributed.process_group import DEFAULT_COLLECTIVE_TIMEOUT, ReduceOp
-from repro.errors import (
-    CheckpointCorruptionError,
-    CollectiveFailedError,
-    CollectiveTimeoutError,
-    DistributedError,
-    OutOfMemoryError,
-    RankCrashedError,
-    RankFailureError,
-)
+from repro.errors import DistributedError, OutOfMemoryError
 from repro.fsdp import (
     BackwardPrefetch,
     FullyShardedDataParallel,
@@ -43,9 +35,9 @@ from repro.nn.module import Module
 from repro.optim import Adam, SGD
 from repro.perf.metrics import GiB, PerfResult
 from repro.resilience import (
-    DEFAULT_HEALTH_PROBE_S,
-    PEER_HEAL_BANDWIDTH,
+    RECOVERABLE_ERRORS,
     HealContext,
+    RecoveryController,
     payload_nbytes,
 )
 from repro.tensor import Tensor
@@ -53,30 +45,11 @@ from repro.tensor import Tensor
 __all__ = [
     "SimConfig",
     "simulate_training",
-    "CheckpointStore",
     "ElasticResult",
     "train_elastic",
 ]
 
 LossFn = Callable[[Module, Device], "object"]
-
-#: Errors the elastic loop treats as recoverable rank failures.  A
-#: corrupted checkpoint is recoverable too: the store quarantines it and
-#: the respawned world restores from an older verified-good iteration.
-RECOVERABLE_ERRORS = (
-    RankCrashedError,
-    RankFailureError,
-    CollectiveTimeoutError,
-    CollectiveFailedError,
-    CheckpointCorruptionError,
-)
-
-#: Simulated host→device restore bandwidth for checkpoint reloads.
-CHECKPOINT_RESTORE_BANDWIDTH = 5 * GiB  # bytes/s
-
-#: Simulated checksum-verify throughput at restore time (CRC pass over
-#: every shard before trusting it — see repro.checkpoint.store).
-CHECKPOINT_VERIFY_BANDWIDTH = 10 * GiB  # bytes/s
 
 
 @dataclass
@@ -109,7 +82,6 @@ class SimConfig:
     forward_prefetch: bool = False
     limit_all_gathers: bool = True
     rate_limit_inflight: int = 2
-    reshard_after_forward: Optional[bool] = None
     optimizer: str = "adam"
     #: Multi-tensor optimizer updates (``Adam(foreach=True)``): one
     #: fused kernel launch per step instead of ~10 per parameter leaf.
@@ -147,7 +119,8 @@ class SimConfig:
     #: bandwidth — survivors keep their live state and only the
     #: interrupted iteration is replayed.  Non-hybrid strategies and
     #: checkpoint-corruption failures fall back to "restore" (counted in
-    #: ``PerfResult.heal_fallbacks``).
+    #: ``PerfResult.heal_fallbacks``); any other value raises
+    #: :class:`repro.errors.RecoveryModeError`.
     recovery: str = "restore"
     #: Install the coordinated-abort latch: the first watchdog to
     #: declare a failure poisons every group, so survivors stall for
@@ -178,11 +151,6 @@ class SimConfig:
     compile: bool = False
     #: Bucket knee override in elements (None = Figure-2 ~33M).
     compile_bucket_elems: Optional[int] = None
-    #: Transient-memory bound (bytes) the reorder pass must respect.
-    compile_memory_budget: Optional[int] = None
-    #: A :class:`repro.autotune.trace.ModelTrace` supplying per-unit
-    #: activation liveness for the memory-budget proof.
-    compile_trace: Optional[object] = None
     #: Steady-state fast-forward for timing-only (meta/abstract) runs:
     #: once two consecutive measured iterations advance every simulator
     #: clock and counter by the *same* delta, the remaining iterations
@@ -209,7 +177,7 @@ def _wrap_model(config: SimConfig, device: Device) -> Module:
     ignored = config.ignored_modules_of(model) if config.ignored_modules_of else None
     from repro.fsdp import CPUOffload
 
-    wrapped = FullyShardedDataParallel(
+    return FullyShardedDataParallel(
         model,
         ignored_modules=ignored,
         cpu_offload=CPUOffload(offload_params=True) if config.cpu_offload else None,
@@ -223,13 +191,8 @@ def _wrap_model(config: SimConfig, device: Device) -> Module:
         rate_limit_inflight=config.rate_limit_inflight,
         compile=config.compile,
         compile_bucket_elems=config.compile_bucket_elems,
-        compile_memory_budget=config.compile_memory_budget,
         device=device,
     )
-    if config.reshard_after_forward is not None:
-        for unit in _all_units(wrapped):
-            unit.reshard_after_forward = config.reshard_after_forward
-    return wrapped
 
 
 def _annotate_per_param(config: SimConfig, device: Device) -> Module:
@@ -264,7 +227,6 @@ def _annotate_per_param(config: SimConfig, device: Device) -> Module:
         rate_limit_inflight=config.rate_limit_inflight,
         compile=config.compile,
         compile_bucket_elems=config.compile_bucket_elems,
-        compile_memory_budget=config.compile_memory_budget,
         device=device,
     )
     # Labels follow the wrapper's convention ("<RootClass>.<path>") so
@@ -280,9 +242,6 @@ def _annotate_per_param(config: SimConfig, device: Device) -> Module:
             if config.auto_wrap_policy(sub):
                 fully_shard(sub, label=f"{root_label}.{path}", **shared)
     fully_shard(model, label=root_label, **shared)
-    if config.reshard_after_forward is not None:
-        for unit in _all_units(model):
-            unit.reshard_after_forward = config.reshard_after_forward
     return model
 
 
@@ -420,33 +379,6 @@ def _runtime_of(wrapped: Module):
     return None
 
 
-def _apply_compile_liveness(config: SimConfig, wrapped: Module) -> None:
-    """Feed measured activation liveness to the compiler's reorder pass.
-
-    ``compile_trace`` indexes units by module *path* ('' for the root)
-    while the runtime labels them "<RootClass>.<path>"; strip the root
-    prefix to join the two.  Runs after the first (eager, captured)
-    iteration — the runtime exists by then and compilation only happens
-    at the second iteration's begin, so the settings land in time.
-    """
-    trace = config.compile_trace
-    runtime = _runtime_of(wrapped)
-    if trace is None or runtime is None or runtime.compile_settings is None:
-        return
-    units = [u for u in _all_units(wrapped) if u.handle is not None]
-    if not units:
-        return
-    paths = {
-        u.label: (u.label.split(".", 1)[1] if "." in u.label else "")
-        for u in units
-    }
-    elem_size = units[0].handle.compute_dtype.itemsize
-    by_path = trace.unit_liveness(sorted(set(paths.values())), elem_size=elem_size)
-    runtime.compile_settings.liveness = {
-        label: by_path.get(path, (0, 0)) for label, path in paths.items()
-    }
-
-
 def _checkpoint_nbytes(wrapped: Module, optimizer) -> int:
     """Bytes in one rank's shard of a model+optimizer checkpoint."""
     total = 0
@@ -456,28 +388,6 @@ def _checkpoint_nbytes(wrapped: Module, optimizer) -> int:
         total += unit.handle.sharded_nbytes
         total += unit.handle.optim_state_nbytes(optimizer)
     return total
-
-
-def _restore_cost_s(wrapped: Module, optimizer) -> float:
-    """Simulated time to reload the local sharded checkpoint."""
-    return _checkpoint_nbytes(wrapped, optimizer) / CHECKPOINT_RESTORE_BANDWIDTH
-
-
-def _detection_latency(failure: BaseException) -> float:
-    """Simulated time between the fault and the job *knowing* about it.
-
-    A hang is noticed by the collective watchdog (one timeout interval,
-    or the coordinated abort's declared detection time); a silent crash
-    by the out-of-band elastic-agent health probe; a corrupted
-    checkpoint surfaces synchronously at load and costs nothing extra.
-    """
-    if isinstance(failure, RankFailureError):
-        return failure.detection_s
-    if isinstance(failure, CollectiveTimeoutError):
-        return failure.timeout
-    if isinstance(failure, RankCrashedError):
-        return DEFAULT_HEALTH_PROBE_S
-    return 0.0
 
 
 def simulate_training(config: SimConfig) -> PerfResult:
@@ -492,6 +402,7 @@ def simulate_training(config: SimConfig) -> PerfResult:
     """
     if config.plan is not None:
         config = config.plan.apply(config)
+    controller = RecoveryController(config.recovery)
     dist.shutdown()
     injector = config.fault_injector
     if injector is None and config.faults is not None:
@@ -578,8 +489,6 @@ def simulate_training(config: SimConfig) -> PerfResult:
                 iteration_started.setdefault(iteration, device.now())
                 _run_iteration(config, wrapped, device, optimizer)
                 completed += 1
-                if completed == 1 and config.compile:
-                    _apply_compile_liveness(config, wrapped)
                 if ff_enabled and measuring and completed < total:
                     fp = _sim_fingerprint(device, groups)
                     if ff_prev_fp is not None:
@@ -613,53 +522,30 @@ def simulate_training(config: SimConfig) -> PerfResult:
                 if runtime is not None:
                     runtime.reset_after_failure()
                 optimizer.zero_grad()
-                detection = _detection_latency(failure)
-                if isinstance(failure, RankCrashedError):
-                    # The death itself is silent; the health probe's
-                    # interval passes before the controller reacts.
-                    device.consume_cpu(detection)
-                result.detection_s += detection
+                detection = controller.detect(result, failure, device)
                 if device.abort is not None:
                     # Clear the poisoned latch so the recovered world's
                     # collectives stop failing fast.
                     device.abort.reset()
                 crash_time = device.now()
                 device.synchronize()
-                heal = (
-                    config.recovery == "heal"
-                    and config.parallelism == "fsdp"
-                    and config.sharding_strategy.is_hybrid
-                    and not isinstance(failure, CheckpointCorruptionError)
+                heal = controller.choose_heal(
+                    result,
+                    failure,
+                    hybrid=config.parallelism == "fsdp"
+                    and config.sharding_strategy.is_hybrid,
                 )
-                if config.recovery == "heal" and not heal:
-                    result.heal_fallbacks += 1
                 if heal:
                     # Checkpoint-free peer heal (hybrid sharding): the
                     # replacement rank pulls its shards + optimizer
-                    # state from a replicate-group peer at link
-                    # bandwidth; survivors keep their live state, so
-                    # only the interrupted iteration is replayed.
-                    wasted_since = iteration_started.get(completed)
-                    if wasted_since is not None:
-                        result.recovery_overhead_s += max(
-                            0.0, device.now() - wasted_since - detection
-                        )
-                    heal_s = _checkpoint_nbytes(wrapped, optimizer) / PEER_HEAL_BANDWIDTH
-                    if session is not None:
-                        with session.scoped("heal:peer-restore"):
-                            device.consume_cpu(heal_s)
-                    else:
-                        device.consume_cpu(heal_s)
-                    device.emit_mark("heal:peer-restore")
-                    result.heal_s += heal_s
-                    result.healed_ranks += 1
-                    result.recovery_overhead_s += heal_s
-                    iteration_started.pop(completed, None)
-                    continue
-                # An async save still draining at crash time is lost:
-                # rewind to the newest *durably committed* checkpoint,
-                # not the newest issued one.
-                if writer is not None:
+                    # state from a replicate-group peer; survivors keep
+                    # their live state, so only the interrupted
+                    # iteration is replayed.
+                    rewind = completed
+                elif writer is not None:
+                    # An async save still draining at crash time is
+                    # lost: rewind to the newest *durably committed*
+                    # checkpoint, not the newest issued one.
                     rewind = writer.committed_iteration(crash_time) or 0
                 else:
                     rewind = last_checkpoint
@@ -668,25 +554,24 @@ def simulate_training(config: SimConfig) -> PerfResult:
                     result.recovery_overhead_s += max(
                         0.0, device.now() - wasted_since - detection
                     )
-                restore = _restore_cost_s(wrapped, optimizer)
-                verify = (
-                    _checkpoint_nbytes(wrapped, optimizer)
-                    * config.world_size
-                    / CHECKPOINT_VERIFY_BANDWIDTH
-                )
-                if session is not None:
-                    with session.scoped("recovery:restore"):
-                        device.consume_cpu(verify + restore)
+                nbytes = _checkpoint_nbytes(wrapped, optimizer)
+                if heal:
+                    heal_s = controller.charge_heal(device, nbytes)
+                    result.heal_s += heal_s
+                    result.healed_ranks += 1
+                    result.recovery_overhead_s += heal_s
                 else:
-                    device.consume_cpu(verify + restore)
-                result.checkpoint_load_s += restore
-                result.checkpoint_verify_s += verify
-                result.recovery_overhead_s += verify + restore
+                    restore, verify = controller.charge_restore(
+                        device, nbytes, config.world_size
+                    )
+                    result.checkpoint_load_s += restore
+                    result.checkpoint_verify_s += verify
+                    result.recovery_overhead_s += verify + restore
+                    last_checkpoint = rewind
                 result.recovered_iterations += completed - rewind
                 for dropped in range(rewind, completed + 1):
                     iteration_started.pop(dropped, None)
                 completed = rewind
-                last_checkpoint = rewind
         device.synchronize()
         latency = (device.now() - start_time) / config.iterations
         flops = (device.flops_total - start_flops) / config.iterations
@@ -780,70 +665,6 @@ def _groups_of(wrapped: Module) -> list:
             seen.add(id(group))
             groups.append(group)
     return groups
-
-
-class CheckpointStore:
-    """In-memory sharded checkpoints for elastic training.
-
-    Each rank saves only its own shards (:func:`sharded_state_dict` /
-    :func:`sharded_optim_state_dict` with ``copy=True``), mirroring a
-    distributed checkpoint directory.  ``latest`` only reports
-    iterations where *every* rank's shard landed, so a crash between two
-    ranks' saves can never restore a torn checkpoint.
-
-    Superseded by :class:`repro.checkpoint.DistributedCheckpointStore`
-    (integrity-checked, resharding-capable); kept as the minimal
-    in-memory flavour for tests and same-layout recovery.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        # iteration -> rank -> {"model": ..., "optim": ...}
-        self._snapshots: dict[int, dict[int, dict]] = {}
-        # iteration -> world size the savers ran at
-        self._world_sizes: dict[int, int] = {}
-
-    def save(
-        self,
-        iteration: int,
-        rank: int,
-        model_state,
-        optim_state,
-        *,
-        world_size: Optional[int] = None,
-    ) -> None:
-        with self._lock:
-            self._snapshots.setdefault(iteration, {})[rank] = {
-                "model": model_state,
-                "optim": optim_state,
-            }
-            if world_size is not None:
-                self._world_sizes[iteration] = world_size
-
-    def latest(self, world_size: Optional[int] = None) -> Optional[int]:
-        """Latest iteration for which every saver's shard exists.
-
-        Completeness is judged against the world size recorded *at save
-        time*: a world that shrank after a partial save can never see
-        the torn iteration reported complete just because fewer shards
-        now suffice.  The ``world_size`` argument is only a fallback for
-        iterations saved without one (legacy callers).
-        """
-        with self._lock:
-            complete = []
-            for iteration, per_rank in self._snapshots.items():
-                expected = self._world_sizes.get(iteration, world_size)
-                if expected is not None and len(per_rank) >= expected:
-                    complete.append(iteration)
-        return max(complete) if complete else None
-
-    def load(self, iteration: int, rank: int) -> dict:
-        with self._lock:
-            return self._snapshots[iteration][rank]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._snapshots)
 
 
 @dataclass
@@ -976,11 +797,13 @@ def train_elastic(
     replica peer's deposit at link bandwidth.  When no replica of a
     failed rank survives (or the restart resizes the world, or the
     failure is a corrupted checkpoint) the restart falls back to the
-    checkpoint store and ``heal_fallbacks`` is incremented.
+    checkpoint store and ``heal_fallbacks`` is incremented.  Any other
+    ``recovery`` value raises :class:`repro.errors.RecoveryModeError`.
     """
     from repro import checkpoint as ckpt
     from repro.autograd.grad_mode import no_grad
 
+    controller = RecoveryController(recovery)
     injector = fault_injector
     if injector is None and faults is not None:
         injector = FaultInjector(faults)
@@ -1040,11 +863,9 @@ def train_elastic(
             donor = plan.sources.get(rank, rank)
             _load_heal_payload(wrapped, opt, heal_ctx.deposit_for(donor).payload)
             if rank in plan.sources:
-                transfer_s = plan.transfer_nbytes(rank) / PEER_HEAL_BANDWIDTH
-                device.consume_cpu(transfer_s)
-                device.emit_mark("heal:peer-restore")
+                heal_s = controller.charge_heal(device, plan.transfer_nbytes(rank))
                 with acct_lock:
-                    result.heal_s += transfer_s
+                    result.heal_s += heal_s
         else:
             start = store.latest()
             if start is None:
@@ -1056,14 +877,10 @@ def train_elastic(
                 nbytes = payload_nbytes(
                     ckpt.snapshot_payload(wrapped, opt, copy=False)
                 )
-                restore_s = (
-                    nbytes / CHECKPOINT_RESTORE_BANDWIDTH
-                    + nbytes * world / CHECKPOINT_VERIFY_BANDWIDTH
-                )
-                device.consume_cpu(restore_s)
+                restore, verify = controller.charge_restore(device, nbytes, world)
                 if rank == 0:
                     with acct_lock:
-                        result.restore_s += restore_s
+                        result.restore_s += restore + verify
         deposit(start)
         for iteration in range(start, iterations):
             iter_begin = device.now()
@@ -1107,27 +924,15 @@ def train_elastic(
                 raise
             result.restarts += 1
             result.failures.append(cause)
-            result.detection_s += _detection_latency(cause)
-            plan = None
-            if heal_ctx is not None:
-                failed = tuple(getattr(exc, "failed_ranks", ()) or ())
-                # Whatever the failed ranks held is gone; survivors'
-                # deposits stay live for planning.
-                heal_ctx.invalidate(failed)
-                if (
-                    failed
-                    and restart_world_size is None
-                    and not isinstance(cause, CheckpointCorruptionError)
-                ):
-                    plan = heal_ctx.plan(failed, world_size)
-                if plan is None:
-                    # No surviving replica (or a storage failure): fall
-                    # back to the checkpoint store, and drop deposits
-                    # that would now be *ahead* of the restored state.
-                    result.heal_fallbacks += 1
-                    heal_ctx.clear()
-                else:
-                    result.healed_ranks.append(failed)
+            controller.detect(result, cause)
+            plan = controller.plan_heal(
+                result,
+                cause,
+                heal_ctx,
+                tuple(getattr(exc, "failed_ranks", ()) or ()),
+                world_size,
+                resized=restart_world_size is not None,
+            )
             control["heal_plan"] = plan
             if injector is not None:
                 injector.advance_generation()

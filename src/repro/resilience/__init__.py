@@ -23,6 +23,9 @@ stakes that plain watchdog-timeout recovery lacks:
   optimizer state directly from a surviving peer at link bandwidth,
   falling back to checkpoint restore only when a whole shard group
   died.
+- :mod:`repro.resilience.recovery` — **the recovery controller** both
+  elastic drivers call: the recoverable-error set, detection latency,
+  the heal-or-restore choice and the restore/verify/heal prices.
 """
 
 from repro.resilience.abort import (
@@ -37,11 +40,15 @@ from repro.resilience.desync import (
     perturb_signature,
 )
 from repro.resilience.heal import (
-    PEER_HEAL_BANDWIDTH,
     HealContext,
     HealDeposit,
     HealPlan,
     payload_nbytes,
+)
+from repro.resilience.recovery import (
+    PEER_HEAL_BANDWIDTH,
+    RECOVERABLE_ERRORS,
+    RecoveryController,
 )
 
 __all__ = [
@@ -52,9 +59,11 @@ __all__ = [
     "collective_signature",
     "compare_signatures",
     "perturb_signature",
-    "PEER_HEAL_BANDWIDTH",
     "HealContext",
     "HealDeposit",
     "HealPlan",
     "payload_nbytes",
+    "PEER_HEAL_BANDWIDTH",
+    "RECOVERABLE_ERRORS",
+    "RecoveryController",
 ]

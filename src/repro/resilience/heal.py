@@ -27,20 +27,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 __all__ = [
-    "PEER_HEAL_BANDWIDTH",
     "HealContext",
     "HealDeposit",
     "HealPlan",
     "payload_nbytes",
 ]
-
-GiB = float(1 << 30)
-
-#: Peer-to-peer healing bandwidth (bytes/s): a direct NIC-to-NIC copy
-#: between two hosts, faster than the shared checkpoint store's
-#: restore path (5 GiB/s read + 10 GiB/s verify for *every* rank).
-PEER_HEAL_BANDWIDTH = 25 * GiB
-
 
 def payload_nbytes(payload: dict) -> int:
     """Total tensor bytes in one rank's checkpoint payload."""

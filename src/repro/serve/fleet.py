@@ -27,9 +27,10 @@ batch until the watchdog declares the replica dead, and
 ``on_storage_write`` decides whether a *provisioning* replica's warm
 checkpoint image is intact — a damaged image falls back to a cold-tier
 re-pull at ``fallback_factor`` the cost.  Replacement capacity is
-provisioned with the same restore + verify cost model the elastic
-trainer charges (``CHECKPOINT_RESTORE_BANDWIDTH`` et al.), so serving
-recovery and training recovery stay mutually calibrated.
+provisioned at the restore + verify prices of
+:mod:`repro.resilience.recovery`, the controller both elastic training
+drivers call, so serving recovery and training recovery stay mutually
+calibrated.
 
 Everything is deterministic: no wall clock, no ambient RNG — the heap
 is ordered by ``(time, sequence)`` and every random choice was made by
@@ -45,10 +46,7 @@ from typing import Optional
 
 from repro.distributed.fault import FaultInjector, FaultSchedule
 from repro.perf.timeline import Tracer
-from repro.perf.trainer import (
-    CHECKPOINT_RESTORE_BANDWIDTH,
-    CHECKPOINT_VERIFY_BANDWIDTH,
-)
+from repro.resilience.recovery import restore_seconds, verify_seconds
 from repro.serve.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.batcher import make_policy
 from repro.serve.metrics import ServeMetrics, ServeResult
@@ -99,11 +97,7 @@ class FleetConfig:
     def provision_s(self) -> float:
         """Cost of standing up one replica from the warm image."""
         nbytes = self.service.model_bytes
-        return (
-            self.rendezvous_s
-            + nbytes / CHECKPOINT_RESTORE_BANDWIDTH
-            + nbytes / CHECKPOINT_VERIFY_BANDWIDTH
-        )
+        return self.rendezvous_s + restore_seconds(nbytes) + verify_seconds(nbytes)
 
 
 @dataclass(order=True)

@@ -36,6 +36,7 @@ from repro.errors import (
     CollectiveDesyncError,
     CollectiveTimeoutError,
     RankFailureError,
+    RecoveryModeError,
 )
 from repro.fsdp import (
     FullyShardedDataParallel as FSDP,
@@ -578,3 +579,112 @@ class TestSymmetricHeal:
         assert result.healed_ranks == 0
         assert result.heal_fallbacks == 1
         assert result.checkpoint_load_s > 0.0
+
+    def test_recovery_split_is_pinned(self):
+        # Exact split of the two runs above, recorded before both
+        # drivers moved onto repro.resilience.recovery: the controller
+        # is a refactor, so every number must stay bitwise.
+        from repro.perf import simulate_training
+
+        fields = (
+            "detection_s",
+            "heal_s",
+            "checkpoint_load_s",
+            "checkpoint_verify_s",
+            "recovery_overhead_s",
+            "recovered_iterations",
+            "healed_ranks",
+            "heal_fallbacks",
+        )
+        expected = {
+            "heal": (0.005, 2.396106719970703e-07, 0.0, 0.0,
+                     2.396106719970703e-07, 0, 1, 0),
+            "restore": (0.005, 0.0, 1.1980533599853516e-06,
+                        2.3961067199707033e-06, 3.594160079956055e-06, 0, 0, 0),
+        }
+        for mode, values in expected.items():
+            result = simulate_training(self._config(faults=self._crash(), recovery=mode))
+            assert tuple(getattr(result, f) for f in fields) == values, mode
+
+
+# ----------------------------------------------------------------------
+# The recovery controller both drivers share
+# ----------------------------------------------------------------------
+class TestRecoveryController:
+    def test_simulate_training_rejects_unknown_mode(self):
+        from repro.perf import simulate_training
+
+        config = TestSymmetricHeal()._config(recovery="hael")
+        with pytest.raises(RecoveryModeError, match="hael"):
+            simulate_training(config)
+
+    def test_train_elastic_rejects_unknown_mode(self):
+        with pytest.raises(RecoveryModeError, match="hael"):
+            run_elastic(recovery="hael")
+
+    def test_resize_restart_falls_back_to_restore(self):
+        # A restart that may change the world size cannot reuse the
+        # replicate peers' shard layout, so a requested heal restores.
+        schedule = FaultSchedule(
+            [FaultEvent(kind=FaultKind.CRASH, rank=1, iteration=3)]
+        )
+        result = run_elastic(
+            schedule, recovery="heal", restart_world_size=lambda restarts, world: 2
+        )
+        assert result.restarts == 1
+        assert result.world_sizes == [WORLD, 2]
+        assert result.healed_ranks == []
+        assert result.heal_fallbacks == 1
+        assert result.heal_s == 0.0
+        assert result.restore_s > 0.0
+
+    def test_restore_heal_and_provisioning_share_one_price_list(self, monkeypatch):
+        # Halving each bandwidth in repro.resilience.recovery doubles the
+        # matching cost in both training drivers (both modes) and in
+        # serving provisioning: there is no second copy of any price.
+        from repro.perf import simulate_training
+        from repro.resilience import recovery
+        from repro.serve import FleetConfig, ReplicaSpec, ServiceModel, TrafficConfig
+
+        sym = TestSymmetricHeal()
+        service = ServiceModel(
+            ReplicaSpec(
+                name="price",
+                build_model=lambda: None,
+                make_batch=lambda model, device, batch: None,
+                gpus=1,
+                max_batch=1,
+            )
+        )
+        service.model_bytes = 64 << 20
+        fleet = FleetConfig(
+            service=service,
+            traffic=TrafficConfig(seed=0, duration_s=1.0, base_qps=1.0),
+        )
+
+        crash = [FaultEvent(kind=FaultKind.CRASH, rank=1, iteration=3)]
+
+        def prices():
+            healed = simulate_training(sym._config(faults=sym._crash(), recovery="heal"))
+            restored = simulate_training(sym._config(faults=sym._crash()))
+            threaded_healed = run_elastic(FaultSchedule(list(crash)), recovery="heal")
+            threaded_restored = run_elastic(FaultSchedule(list(crash)))
+            return (
+                healed.heal_s,
+                restored.checkpoint_load_s,
+                restored.checkpoint_verify_s,
+                threaded_healed.heal_s,
+                threaded_restored.restore_s,
+                fleet.provision_s() - fleet.rendezvous_s,
+            )
+
+        before = prices()
+        for name in (
+            "CHECKPOINT_RESTORE_BANDWIDTH",
+            "CHECKPOINT_VERIFY_BANDWIDTH",
+            "PEER_HEAL_BANDWIDTH",
+        ):
+            monkeypatch.setattr(recovery, name, getattr(recovery, name) / 2)
+        after = prices()
+        assert all(b > 0.0 for b in before)
+        assert after == pytest.approx([2 * b for b in before], rel=1e-12)
