@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
+from repro import dtypes
 from repro.cuda import sanitizer
 from repro.cuda.device import Device
 from repro.cuda.stream import Event, Stream
@@ -179,24 +182,34 @@ class ProcessGroup:
     def _retire_op(self, token: int) -> None:
         self._pending_ops.pop(token, None)
 
-    def _timeout_error(self, kind: CollectiveKind) -> CollectiveTimeoutError:
-        error = CollectiveTimeoutError(
-            kind=kind.value,
-            ranks=self.ranks,
-            rank=self.global_rank,
-            timeout=self.timeout,
-            pending_ops=self.pending_collectives() + 1,
-        )
-        recorder = self.device.flight_recorder
-        if recorder is not None:
-            error.flight_dump = recorder.dump(now=self.device.cpu_time())
-        return error
-
     def _attach_flight_dump(self, error):
         recorder = self.device.flight_recorder
         if recorder is not None:
             error.flight_dump = recorder.dump(now=self.device.cpu_time())
         return error
+
+    def _timeout_error(self, kind: CollectiveKind) -> CollectiveTimeoutError:
+        return self._attach_flight_dump(
+            CollectiveTimeoutError(
+                kind=kind.value,
+                ranks=self.ranks,
+                rank=self.global_rank,
+                timeout=self.timeout,
+                pending_ops=self.pending_collectives() + 1,
+            )
+        )
+
+    def _rank_failure_error(self, kind: CollectiveKind) -> RankFailureError:
+        abort = self.device.abort
+        return self._attach_flight_dump(
+            RankFailureError(
+                kind=kind.value,
+                ranks=self.ranks,
+                rank=self.global_rank,
+                failed_ranks=abort.failed_ranks(),
+                detection_s=abort.detection_s(),
+            )
+        )
 
     def _abort_check(self, kind: CollectiveKind) -> None:
         """Fail fast when the communicator has been poisoned.
@@ -209,15 +222,35 @@ class ProcessGroup:
         abort = self.device.abort
         if abort is None or not abort.enabled or not abort.poisoned:
             return
-        raise self._attach_flight_dump(
-            RankFailureError(
-                kind=kind.value,
-                ranks=self.ranks,
-                rank=self.global_rank,
-                failed_ranks=abort.failed_ranks(),
-                detection_s=abort.detection_s(),
+        raise self._rank_failure_error(kind)
+
+    def _watchdog(self, kind: CollectiveKind, since: float, live_pending: int):
+        """Block until ``since + timeout``, then abort with a typed error.
+
+        The collective would never complete (or not before the
+        deadline), so the watchdog raises :class:`CollectiveTimeoutError`
+        instead of hanging forever.  With coordinated abort, the
+        declaration poisons every group sharing the world: one watchdog
+        interval covers the whole teardown and later launches fail
+        fast.  Without it (the negative control), each of the
+        ``live_pending`` already-pending collectives is drained to its
+        own deadline, one serial timeout each.
+        """
+        device = self.device
+        device.advance_cpu_to(since + self.timeout)
+        device.emit_mark(f"watchdog:{kind.value}")
+        abort = device.abort
+        if abort is not None and abort.enabled:
+            abort.declare(
+                self.global_rank,
+                sim_time=device.cpu_time(),
+                detection_s=self.timeout,
             )
-        )
+        elif abort is not None:
+            for _ in range(live_pending):
+                device.consume_cpu(self.timeout)
+                device.emit_mark(f"watchdog-drain:{kind.value}")
+        raise self._timeout_error(kind)
 
     def _live_pending(self) -> int:
         """Pending ops the CPU clock has not yet observed complete."""
@@ -238,11 +271,12 @@ class ProcessGroup:
     def _desync_error(
         self, kind: CollectiveKind, nbytes: int, dtype: str = ""
     ) -> CollectiveDesyncError:
-        """Injected-desync verdict for the lockstep (symmetric) backend.
+        """Injected-desync verdict surfaced locally, with no peer check.
 
-        The simulated peers are in lockstep by construction, so the
-        true signature is what every peer reports; the injected rank's
-        divergence is the deterministic perturbation.
+        Used by the lockstep backend, whose simulated peers report the
+        true signature by construction, and by a threaded rank running
+        without the cross-rank checker.  The injected rank's divergence
+        is the deterministic perturbation.
         """
         seq = self._injector_seq()
         expected = collective_signature(
@@ -335,7 +369,7 @@ class ProcessGroup:
 
         Feeds both the allocator's cross-stream reuse gate
         (``record_stream`` semantics) and, when enabled, the
-        stream-order sanitizer.  Call after ``_launch_collective`` so
+        stream-order sanitizer.  Call after ``_collective`` so
         the accesses attribute to the collective kernel just enqueued.
         """
         stream = stream or self.comm_stream
@@ -369,43 +403,47 @@ class ProcessGroup:
         if self._spans_hosts:
             self.cross_host_bytes += int(per_rank)
 
-    def _launch_collective(
+    def _collective(
         self,
         kind: CollectiveKind,
         nbytes: int,
         stream: Optional[Stream],
         *,
-        collective_start: Optional[float] = None,
+        payload: Optional[np.ndarray] = None,
+        combine: Optional[Callable[[list], object]] = None,
         shard_nbytes=None,
-    ) -> Work:
-        """Enqueue the collective kernel and return its Work handle.
+        dtype: str = "",
+    ) -> tuple[Work, object]:
+        """Launch one collective; return its Work and combined payload.
 
-        ``collective_start`` lets threaded backends impose the max of
-        all ranks' ready times; the symmetric backend assumes peers are
-        in lockstep with this rank.
-
+        The one template behind every collective of both backends.
         Consults the installed fault injector first: injected delays
         push the issue time, degraded links stretch the duration, and a
         hang (or a stretch past ``timeout``) trips the watchdog, which
         raises :class:`CollectiveTimeoutError` instead of completing.
+        An injected desync raises here unless a cross-rank checker is
+        installed (never on the lockstep backend).  The backend's
+        :meth:`_agree_start` then fixes when the group starts and what
+        ``combine`` made of the members' payloads — faults change
+        timing, never math.
         """
         self._abort_check(kind)
         decision = self._consult_faults(kind)
-        if decision.desync:
-            raise self._desync_error(kind, nbytes)
+        if decision.desync and not self.device.desync_checker:
+            raise self._desync_error(kind, nbytes, dtype)
         stream = self._order_after_caller(stream)
         device = self.device
         device.consume_cpu(device.spec.kernel_launch_cpu)
         duration = self._collective_duration(kind, nbytes, shard_nbytes)
         duration *= decision.duration_factor
-        issue = device.cpu_time()
-        if collective_start is not None:
-            issue = max(issue, collective_start)
-        issue += decision.delay_s
+        issue = device.cpu_time() + decision.delay_s
+        ready = max(issue, stream.ready_time)
         recorder = device.flight_recorder
         profiler = device.profiler
         record = None
         if recorder is not None:
+            # Recorded before the start is agreed: a rank blocked on a
+            # missing peer shows up as issued-but-unlaunched.
             record = recorder.record_issue(
                 rank=self.global_rank,
                 kind=kind.value,
@@ -416,58 +454,102 @@ class ProcessGroup:
                 scope=profiler.scope if profiler is not None else "",
             )
         if decision.hang or duration > self.timeout:
-            # The collective would never complete (or not before the
-            # deadline): the watchdog blocks until the deadline, then
-            # aborts with a typed error instead of hanging forever.  The
-            # flight record stays un-launched — the dump will show this
+            # The flight record stays un-launched: the dump shows this
             # rank issued but never reached the kernel.
-            live_pending = self._live_pending()
-            device.advance_cpu_to(max(issue, stream.ready_time) + self.timeout)
-            device.emit_mark(f"watchdog:{kind.value}")
-            abort = device.abort
-            if abort is not None and abort.enabled:
-                # Coordinated abort: one watchdog interval covers the
-                # whole teardown — the declaration poisons every group
-                # sharing the world, so pending ops are abandoned, not
-                # drained, and later launches fail fast.
-                abort.declare(
-                    self.global_rank,
-                    sim_time=device.cpu_time(),
-                    detection_s=self.timeout,
-                )
-            elif abort is not None:
-                # Uncoordinated teardown (the negative control): with
-                # no abort propagation, every already-pending collective
-                # must be drained to its own watchdog deadline, one
-                # serial timeout each.
-                for _ in range(live_pending):
-                    device.consume_cpu(self.timeout)
-                    device.emit_mark(f"watchdog-drain:{kind.value}")
-            raise self._timeout_error(kind)
-        start, end = stream.enqueue(
-            duration, issue_time=max(issue, stream.ready_time), label=kind.value
+            self._watchdog(kind, ready, self._live_pending())
+        start, combined = self._agree_start(
+            kind, ready, payload, combine, nbytes=nbytes, dtype=dtype, desync=decision.desync
         )
+        launch_start, launch_end = stream.enqueue(duration, issue_time=start, label=kind.value)
         if record is not None:
-            recorder.record_launch(record, start, end)
+            recorder.record_launch(record, launch_start, launch_end)
             if profiler is not None:
                 profiler.on_collective(record)
         self._account_traffic(kind, nbytes)
         event = stream.record_event()
         token = self._track_launch(kind, event)
-        return Work(event, on_complete=lambda: self._retire_op(token))
+        return Work(event, on_complete=lambda: self._retire_op(token)), combined
+
+    def _agree_start(
+        self,
+        kind: CollectiveKind,
+        ready: float,
+        payload: Optional[np.ndarray],
+        combine: Optional[Callable[[list], object]],
+        *,
+        nbytes: int,
+        dtype: str,
+        desync: bool,
+    ) -> tuple[float, object]:
+        """Backend hook: the group's start time and combined payload.
+
+        ``ready`` is when this rank's stream can start the collective.
+        Returns the group's start time and ``combine`` applied to every
+        member's ``payload`` in rank order (``None`` when any member
+        carries no data); ``desync`` asks a cross-rank checker to see
+        this rank's signature diverge.
+        """
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Collective API (implemented by backends)
+    # Collective API
     # ------------------------------------------------------------------
     def all_gather_into_tensor(
         self, output: Tensor, input: Tensor, *, stream: Optional[Stream] = None
     ) -> Work:
-        raise NotImplementedError
+        self._check_all_gather_shapes(output, input)
+        return self._gather_pairs(((output, input),), stream)
+
+    def all_gather_into_tensor_coalesced(
+        self,
+        pairs: Sequence[tuple[Tensor, Tensor]],
+        *,
+        stream: Optional[Stream] = None,
+    ) -> Work:
+        """Gather several ``(output, input)`` pairs with ONE collective.
+
+        Semantically identical to issuing ``all_gather_into_tensor`` per
+        pair (each output is the rank-major concatenation of the pair's
+        inputs), but the launch overhead and ring latency are paid once
+        for the whole bucket — the Figure-2 payoff the compile passes
+        target.  The fault injector is consulted once: a bucket is one
+        logical collective, keeping SPMD fault sequences aligned.
+        """
+        self._check_coalesced_pairs(pairs, kind="all_gather_into_tensor_coalesced")
+        return self._gather_pairs(pairs, stream)
 
     def reduce_scatter_tensor(
         self, output: Tensor, input: Tensor, op: str = ReduceOp.SUM, *, stream: Optional[Stream] = None
     ) -> Work:
-        raise NotImplementedError
+        self._check_reduce_scatter_shapes(output, input)
+        return self._reduce_scatter(
+            CollectiveKind.REDUCE_SCATTER,
+            ((output, input, self.rank * output.numel),),
+            op,
+            stream,
+        )
+
+    def reduce_scatter_tensor_coalesced(
+        self,
+        pairs: Sequence[tuple[Tensor, Tensor]],
+        op: str = ReduceOp.SUM,
+        *,
+        stream: Optional[Stream] = None,
+    ) -> Work:
+        """Reduce-scatter several ``(output, input)`` pairs at once.
+
+        Bitwise identical to per-pair ``reduce_scatter_tensor``: the
+        reduction is elementwise, so reducing the concatenation of the
+        inputs and slicing per-pair rank segments yields exactly the
+        same values as separate collectives.
+        """
+        self._check_coalesced_pairs(pairs, kind="reduce_scatter_tensor_coalesced")
+        return self._reduce_scatter(
+            CollectiveKind.REDUCE_SCATTER,
+            tuple((o, i, self.rank * o.numel) for o, i in pairs),
+            op,
+            stream,
+        )
 
     def reduce_scatter(
         self,
@@ -487,53 +569,60 @@ class ProcessGroup:
         per-parameter backend uses this for exact dim-0 shards whose
         tail chunks are short.
         """
-        raise NotImplementedError
+        self._check_reduce_scatter_uneven_shapes(output, input, input_sizes)
+        sizes = list(input_sizes)
+        if len(set(sizes)) == 1:
+            kind, shard_nbytes = CollectiveKind.REDUCE_SCATTER, None
+        else:
+            kind = CollectiveKind.REDUCE_SCATTER_UNEVEN
+            shard_nbytes = [s * input.dtype.itemsize for s in sizes]
+        return self._reduce_scatter(
+            kind,
+            ((output, input, sum(sizes[: self.rank])),),
+            op,
+            stream,
+            shard_nbytes=shard_nbytes,
+        )
 
     def all_reduce(
         self, tensor: Tensor, op: str = ReduceOp.SUM, *, stream: Optional[Stream] = None
     ) -> Work:
-        raise NotImplementedError
+        _check_op(op)
+        return self._in_place(
+            CollectiveKind.ALL_REDUCE, tensor, lambda datas: _reduce(datas, op), stream
+        )
 
     def broadcast(self, tensor: Tensor, src: int, *, stream: Optional[Stream] = None) -> Work:
-        raise NotImplementedError
+        if src not in self.ranks:
+            raise DistributedError(f"broadcast src {src} not in group {self.ranks}")
+        src_index = self.ranks.index(src)
+        return self._in_place(
+            CollectiveKind.BROADCAST, tensor, lambda datas: datas[src_index], stream
+        )
 
     def all_gather(
         self, outputs: Sequence[Tensor], input: Tensor, *, stream: Optional[Stream] = None
     ) -> Work:
-        raise NotImplementedError
-
-    def all_gather_into_tensor_coalesced(
-        self,
-        pairs: Sequence[tuple[Tensor, Tensor]],
-        *,
-        stream: Optional[Stream] = None,
-    ) -> Work:
-        """Gather several ``(output, input)`` pairs with ONE collective.
-
-        Semantically identical to issuing ``all_gather_into_tensor`` per
-        pair (each output is the rank-major concatenation of the pair's
-        inputs), but the launch overhead and ring latency are paid once
-        for the whole bucket — the Figure-2 payoff the compile passes
-        target.  The fault injector is consulted once: a bucket is one
-        logical collective, keeping SPMD fault sequences aligned.
-        """
-        raise NotImplementedError
-
-    def reduce_scatter_tensor_coalesced(
-        self,
-        pairs: Sequence[tuple[Tensor, Tensor]],
-        op: str = ReduceOp.SUM,
-        *,
-        stream: Optional[Stream] = None,
-    ) -> Work:
-        """Reduce-scatter several ``(output, input)`` pairs at once.
-
-        Bitwise identical to per-pair ``reduce_scatter_tensor``: the
-        reduction is elementwise, so reducing the concatenation of the
-        inputs and slicing per-pair rank segments yields exactly the
-        same values as separate collectives.
-        """
-        raise NotImplementedError
+        if len(outputs) != self.world_size:
+            raise DistributedError("all_gather needs one output tensor per rank")
+        sizes = [o.numel for o in outputs]
+        even = len(set(sizes)) == 1 and sizes[0] == input.numel
+        kind = CollectiveKind.ALL_GATHER_LIST if even else CollectiveKind.ALL_GATHER_UNEVEN
+        work, shards = self._collective(
+            kind,
+            sum(sizes) * input.dtype.itemsize,
+            stream,
+            payload=_payload(input),
+            combine=list,
+            shard_nbytes=[s * input.dtype.itemsize for s in sizes],
+            dtype=input.dtype.name,
+        )
+        if shards is not None:
+            for out, shard in zip(outputs, shards):
+                if out.is_materialized:
+                    _write(out, shard)
+        self._note_data_use(stream, reads=(input,), writes=tuple(outputs))
+        return work
 
     def all_to_all_bytes(self, nbytes: int, *, stream: Optional[Stream] = None) -> Work:
         """Cost-only all-to-all of ``nbytes`` total payload.
@@ -542,13 +631,106 @@ class ProcessGroup:
         where only the communication time and traffic matter to the
         simulation (the lookup itself is rank-local).
         """
-        return self._launch_collective(CollectiveKind.ALL_TO_ALL, nbytes, stream)
+        work, _ = self._collective(CollectiveKind.ALL_TO_ALL, nbytes, stream)
+        return work
 
     def barrier(self) -> None:
         raise NotImplementedError
 
     def all_reduce_scalar(self, value: float, op: str = ReduceOp.SUM) -> float:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Collective bodies shared by the public API
+    # ------------------------------------------------------------------
+    def _gather_pairs(
+        self, pairs: Sequence[tuple[Tensor, Tensor]], stream: Optional[Stream]
+    ) -> Work:
+        """One all-gather over the concatenated inputs of ``pairs``."""
+
+        def combine(datas):
+            # Each pair's output is the rank-major concatenation of the
+            # pair's slice of every member's payload.
+            gathered, offset = [], 0
+            for _, input in pairs:
+                n = input.numel
+                gathered.append(np.concatenate([d[offset : offset + n] for d in datas]))
+                offset += n
+            return gathered
+
+        work, gathered = self._collective(
+            CollectiveKind.ALL_GATHER_BASE,
+            sum(o.numel * i.dtype.itemsize for o, i in pairs),
+            stream,
+            payload=_concat_payloads(i for _, i in pairs),
+            combine=combine,
+            dtype=pairs[0][1].dtype.name,
+        )
+        if gathered is not None:
+            for (output, _), values in zip(pairs, gathered):
+                if output.is_materialized:
+                    _write(output, values)
+        self._note_data_use(
+            stream,
+            reads=tuple(i for _, i in pairs),
+            writes=tuple(o for o, _ in pairs),
+        )
+        return work
+
+    def _reduce_scatter(
+        self,
+        kind: CollectiveKind,
+        segments: Sequence[tuple[Tensor, Tensor, int]],
+        op: str,
+        stream: Optional[Stream],
+        *,
+        shard_nbytes=None,
+    ) -> Work:
+        """One reduce-scatter over the concatenated inputs of ``segments``.
+
+        Each ``(output, input, start)`` segment's output receives its
+        input's reduced elements ``[start, start + output.numel)``.
+        Reducing the concatenation is elementwise, so coalescing is
+        bitwise-neutral.
+        """
+        _check_op(op)
+        work, reduced = self._collective(
+            kind,
+            sum(i.numel * i.dtype.itemsize for _, i, _ in segments),
+            stream,
+            payload=_concat_payloads(i for _, i, _ in segments),
+            combine=lambda datas: _reduce(datas, op),
+            shard_nbytes=shard_nbytes,
+            dtype=segments[0][1].dtype.name,
+        )
+        if reduced is not None:
+            offset = 0
+            for output, input, start in segments:
+                if output.is_materialized:
+                    begin = offset + start
+                    _write(output, reduced[begin : begin + output.numel])
+                offset += input.numel
+        self._note_data_use(
+            stream,
+            reads=tuple(i for _, i, _ in segments),
+            writes=tuple(o for o, _, _ in segments),
+        )
+        return work
+
+    def _in_place(self, kind: CollectiveKind, tensor: Tensor, combine, stream) -> Work:
+        """A collective that overwrites ``tensor`` with ``combine``'s result."""
+        work, result = self._collective(
+            kind,
+            tensor.numel * tensor.dtype.itemsize,
+            stream,
+            payload=_payload(tensor),
+            combine=combine,
+            dtype=tensor.dtype.name,
+        )
+        if result is not None and tensor.is_materialized:
+            _write(tensor, result)
+        self._note_data_use(stream, reads=(tensor,), writes=(tensor,))
+        return work
 
     # ------------------------------------------------------------------
     # Shared validation
@@ -598,3 +780,35 @@ class ProcessGroup:
                 f"reduce_scatter: output numel {output.numel} != this rank's "
                 f"segment size {input_sizes[self.rank]}"
             )
+
+
+def _check_op(op: str) -> None:
+    if op not in (ReduceOp.SUM, ReduceOp.AVG, ReduceOp.MAX):
+        raise DistributedError(f"unknown reduce op {op!r}")
+
+
+def _reduce(datas: list, op: str):
+    """Elementwise SUM/AVG/MAX over the members' payloads (rank axis 0)."""
+    if op == ReduceOp.MAX:
+        return np.max(datas, axis=0)
+    total = np.sum(datas, axis=0)
+    if op == ReduceOp.AVG:
+        total = total / len(datas)
+    return total
+
+
+def _payload(t: Tensor) -> Optional[np.ndarray]:
+    if not t.is_materialized:
+        return None
+    return np.ascontiguousarray(t._np.reshape(-1), dtype=np.float64)
+
+
+def _concat_payloads(tensors) -> Optional[np.ndarray]:
+    payloads = [_payload(t) for t in tensors]
+    if any(p is None for p in payloads):
+        return None
+    return payloads[0] if len(payloads) == 1 else np.concatenate(payloads)
+
+
+def _write(t: Tensor, values: np.ndarray) -> None:
+    t._np.reshape(-1)[...] = dtypes.quantize(values, t.dtype)

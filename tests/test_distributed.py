@@ -8,10 +8,26 @@ import repro
 from repro import distributed as dist
 from repro.distributed import ReduceOp
 from repro.errors import DistributedError
+from repro.profiler import FlightRecorder
+
+BACKENDS = ["symmetric", "threaded"]
 
 
 def run(fn, world=4, **kwargs):
     return dist.spawn(fn, world, **kwargs)
+
+
+def run_on(backend, fn, world=4, **kwargs):
+    """Run ``fn(rank)`` on every threaded rank, or once on the symmetric
+    backend's one modeled rank (abstract tensors); returns the results."""
+    if backend == "threaded":
+        return run(fn, world, **kwargs)
+    dist.shutdown()
+    dist.init_single_process(world, **kwargs)
+    try:
+        return [fn(0)]
+    finally:
+        dist.shutdown()
 
 
 class TestAllGather:
@@ -35,9 +51,13 @@ class TestAllGather:
             out = repro.empty(10, device=dist.get_device())
             with pytest.raises(DistributedError):
                 g.all_gather_into_tensor(out, x)
+            outs = [repro.empty(3, device=dist.get_device()) for _ in range(2)]
+            with pytest.raises(DistributedError):
+                g.all_gather(outs, x)  # 2 outputs for a 4-rank group
             g.barrier()
 
-        run(fn)
+        for backend in BACKENDS:
+            run_on(backend, fn)
 
     def test_all_gather_list_even(self):
         def fn(rank):
@@ -115,6 +135,45 @@ class TestReductions:
 
         assert all(v == 1.5 for v in run(fn))
 
+    def test_reduce_scatter_max(self):
+        def fn(rank):
+            g = dist.default_group()
+            dev = dist.get_device()
+            outs = [repro.empty(1, device=dev) for _ in range(3)]
+            inputs = [
+                repro.tensor(np.full(2, rank + 1.0, dtype=np.float32), device=dev)
+                for _ in range(3)
+            ]
+            g.reduce_scatter_tensor(outs[0], inputs[0], op=ReduceOp.MAX).wait()
+            g.reduce_scatter_tensor_coalesced(
+                [(outs[1], inputs[1])], op=ReduceOp.MAX
+            ).wait()
+            g.reduce_scatter(outs[2], inputs[2], [1, 1], op=ReduceOp.MAX).wait()
+            return [o.item() for o in outs]
+
+        assert run(fn, world=2) == [[2.0, 2.0, 2.0]] * 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unknown_op_rejected(self, backend):
+        def fn(rank):
+            g = dist.default_group()
+            dev = dist.get_device()
+            full = repro.ones(8, device=dev)
+            shard = repro.empty(2, device=dev)
+            calls = [
+                lambda: g.reduce_scatter_tensor(shard, full, op="bogus"),
+                lambda: g.reduce_scatter_tensor_coalesced([(shard, full)], op="bogus"),
+                lambda: g.reduce_scatter(shard, full, [2, 2, 2, 2], op="bogus"),
+                lambda: g.all_reduce(full, op="bogus"),
+                lambda: g.all_reduce_scalar(1.0, op="bogus"),
+            ]
+            for call in calls:
+                with pytest.raises(DistributedError, match="unknown reduce op"):
+                    call()
+            g.barrier()
+
+        run_on(backend, fn)
+
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=4, max_size=4))
     def test_all_reduce_property(self, values):
@@ -142,7 +201,8 @@ class TestBroadcastAndScalar:
         for result in run(fn):
             np.testing.assert_array_equal(result, [2.0, 2.0])
 
-    def test_broadcast_bad_src(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_broadcast_bad_src(self, backend):
         def fn(rank):
             g = dist.default_group()
             x = repro.ones(2, device=dist.get_device())
@@ -150,7 +210,7 @@ class TestBroadcastAndScalar:
                 g.broadcast(x, src=99)
             g.barrier()
 
-        run(fn)
+        run_on(backend, fn)
 
     def test_all_reduce_scalar(self):
         def fn(rank):
@@ -236,6 +296,87 @@ class TestTimingSync:
         for sent, count in run(fn):
             assert count == 1
             assert sent == int(2 * 4000 * 3 / 4)  # 2M(W-1)/W bytes
+
+
+def _collective_program(name, rank, world):
+    """Issue collective ``name`` twice on the default group; return Works."""
+    g = dist.default_group()
+    dev = dist.get_device()
+    n = 10_000
+
+    def empty(numel):
+        return repro.empty(numel, device=dev)
+
+    uneven = [3 * n, 3 * n, 3 * n, n]
+    issue = {
+        "all_gather_into_tensor": lambda: g.all_gather_into_tensor(empty(world * n), empty(n)),
+        "all_gather_into_tensor_coalesced": lambda: g.all_gather_into_tensor_coalesced(
+            [(empty(world * n), empty(n)), (empty(world * 7), empty(7))]
+        ),
+        "reduce_scatter_tensor": lambda: g.reduce_scatter_tensor(empty(n), empty(world * n)),
+        "reduce_scatter_tensor_coalesced": lambda: g.reduce_scatter_tensor_coalesced(
+            [(empty(n), empty(world * n)), (empty(7), empty(world * 7))]
+        ),
+        "reduce_scatter": lambda: g.reduce_scatter(
+            empty(uneven[rank]), empty(sum(uneven)), uneven
+        ),
+        "all_reduce": lambda: g.all_reduce(empty(n)),
+        "broadcast": lambda: g.broadcast(empty(n), src=0),
+        "all_gather": lambda: g.all_gather([empty(s) for s in uneven], empty(uneven[rank])),
+        "all_to_all_bytes": lambda: g.all_to_all_bytes(4 * n),
+    }[name]
+    works = [issue(), issue()]
+    return (
+        [w.completion_time for w in works],
+        g.bytes_sent,
+        g.collective_count,
+    )
+
+
+class TestBackendParity:
+    """Both backends share one collective path, so fault-free lockstep
+    threaded ranks time every collective exactly like the symmetric
+    backend's one modeled rank."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "all_gather_into_tensor",
+            "all_gather_into_tensor_coalesced",
+            "reduce_scatter_tensor",
+            "reduce_scatter_tensor_coalesced",
+            "reduce_scatter",
+            "all_reduce",
+            "broadcast",
+            "all_gather",
+            "all_to_all_bytes",
+        ],
+    )
+    def test_lockstep_timing_matches_symmetric(self, name):
+        world = 4
+
+        def launches(recorder, rank):
+            return [
+                (r.start_time, r.end_time) for r in recorder.records() if r.rank == rank
+            ]
+
+        def fn(rank):
+            return _collective_program(name, rank, world)
+
+        sym_recorder = FlightRecorder()
+        (expected,) = run_on(
+            "symmetric", fn, world, materialize=False, flight_recorder=sym_recorder
+        )
+        recorder = FlightRecorder()
+        results = run_on(
+            "threaded", fn, world, materialize=False, flight_recorder=recorder
+        )
+        assert expected[2] == 2
+        expected_launches = launches(sym_recorder, 0)
+        assert len(expected_launches) == 2
+        for rank, result in enumerate(results):
+            assert result == expected
+            assert launches(recorder, rank) == expected_launches
 
 
 class TestWorldManagement:

@@ -42,8 +42,7 @@ def faulty_world(request):
     dist.shutdown()
 
 
-def _one_all_gather(ctx):
-    device = ctx.device
+def _one_all_gather(device):
     group = dist.default_group()
     shard = repro.empty(1_000_000, device=device)
     out = repro.empty(WORLD * 1_000_000, device=device)
@@ -134,7 +133,7 @@ class TestInjectorBookkeeping:
 class TestCollectiveFaults:
     def test_delay_shifts_simulated_time_only(self, faulty_world):
         ctx = faulty_world()
-        _one_all_gather(ctx)
+        _one_all_gather(ctx.device)
         baseline = ctx.device.now()
 
         delayed = faulty_world(
@@ -142,13 +141,13 @@ class TestCollectiveFaults:
                 FaultEvent(kind=FaultKind.DELAY, collective_index=0, delay_s=5e-3)
             ])
         )
-        _one_all_gather(delayed)
+        _one_all_gather(delayed.device)
         assert delayed.device.now() >= baseline + 5e-3 - 1e-12
 
     def test_straggler_slows_every_collective(self, faulty_world):
         ctx = faulty_world()
-        group = _one_all_gather(ctx)
-        _one_all_gather(ctx)
+        group = _one_all_gather(ctx.device)
+        _one_all_gather(ctx.device)
         baseline = ctx.device.now()
 
         slow = faulty_world(
@@ -156,8 +155,8 @@ class TestCollectiveFaults:
                 FaultEvent(kind=FaultKind.STRAGGLER, rank=0, delay_s=2e-3)
             ])
         )
-        _one_all_gather(slow)
-        _one_all_gather(slow)
+        _one_all_gather(slow.device)
+        _one_all_gather(slow.device)
         assert slow.device.now() >= baseline + 2 * 2e-3 - 1e-12
         assert len(slow.fault_injector.injected) == 2
 
@@ -168,13 +167,13 @@ class TestCollectiveFaults:
                            collective_index=0, failures=2)
             ])
         )
-        group = _one_all_gather(ctx)
+        group = _one_all_gather(ctx.device)
         assert group.retries_attempted == 2
         kinds = [f.kind for f in ctx.fault_injector.injected]
         assert kinds == [FaultKind.TRANSIENT, FaultKind.TRANSIENT]
         # The budget is consumed: the next collective is clean.
         before = group.retries_attempted
-        _one_all_gather(ctx)
+        _one_all_gather(ctx.device)
         assert group.retries_attempted == before
 
     def test_transient_exhausts_into_permanent_failure(self, faulty_world):
@@ -219,16 +218,31 @@ class TestCollectiveFaults:
         # The watchdog charges exactly the deadline on the simulated clock.
         assert device.cpu_time() >= before + 0.25
 
-    def test_slow_collective_beyond_deadline_times_out(self, faulty_world):
-        ctx = faulty_world(
-            schedule=FaultSchedule([
-                FaultEvent(kind=FaultKind.DELAY, collective_index=0,
-                           duration_factor=1e9)
-            ]),
-            timeout=0.5,
+    @pytest.mark.parametrize("backend", ["symmetric", "threaded"])
+    def test_slow_collective_beyond_deadline_times_out(self, faulty_world, backend):
+        schedule = FaultSchedule([
+            FaultEvent(kind=FaultKind.DELAY, collective_index=0,
+                       duration_factor=1e9)
+        ])
+        if backend == "symmetric":
+            ctx = faulty_world(schedule=schedule, timeout=0.5)
+            with pytest.raises(CollectiveTimeoutError):
+                _one_all_gather(ctx.device)
+            return
+
+        def worker(rank):
+            with pytest.raises(CollectiveTimeoutError):
+                _one_all_gather(dist.get_device())
+
+        # Without coordinated abort every rank's own watchdog must fire.
+        dist.spawn(
+            worker,
+            WORLD,
+            materialize=False,
+            fault_schedule=schedule,
+            collective_timeout=0.5,
+            coordinated_abort=False,
         )
-        with pytest.raises(CollectiveTimeoutError):
-            _one_all_gather(ctx)
 
 
 class TestAllocatorPressure:
